@@ -65,7 +65,8 @@ type options struct {
 	logLevel    string
 
 	// Test hooks: closing shutdown substitutes for a SIGINT/SIGTERM
-	// delivery, and onServe observes the bound listen address.
+	// delivery, and onServe observes the bound listen address once the
+	// daemon has replayed its spool and accepts submissions.
 	shutdown <-chan struct{}
 	onServe  func(addr string)
 }
@@ -176,15 +177,15 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	fmt.Fprintf(w, "tracenetd on http://%s/ (spool %s)\n", addr, o.spool)
-	if o.onServe != nil {
-		o.onServe(addr.String())
-	}
 
 	if err := d.Start(); err != nil {
 		srv.Shutdown(context.Background())
 		return err
 	}
 	lg.Info("tracenetd serving", "addr", addr.String(), "spool", o.spool)
+	if o.onServe != nil {
+		o.onServe(addr.String())
+	}
 
 	<-ctx.Done()
 	fmt.Fprintln(w, "draining: checkpointing running campaigns into the spool")

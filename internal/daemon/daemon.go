@@ -78,16 +78,22 @@ type campaignState struct {
 	spec   *Spec
 
 	// Mutable fields below are guarded by the daemon mutex.
-	status     string
-	errText    string
-	notBefore  uint64
-	rows       []TargetRow // journaled completed-target rows
-	prog       *collect.Progress
+	status    string
+	errText   string
+	notBefore uint64
+	rows      []TargetRow // journaled completed-target rows
+	prog      *collect.Progress
+	// wd, tel, ctx and cancel belong to a run in progress and are cleared
+	// when its status goes final: tel's clock is the campaign's network, so
+	// holding them would keep every finished substrate reachable.
 	wd         *collect.Watchdog
 	tel        *telemetry.Telemetry // the campaign's clock domain
 	ctx        context.Context
 	cancel     context.CancelFunc
 	userCancel bool
+	// finishing is set while finish writes the artifacts of a run that is
+	// over but whose final status is not yet published; Cancel waits it out.
+	finishing bool
 }
 
 // Daemon is the tracenetd service core: queue, scheduler, tenant registry,
@@ -125,10 +131,16 @@ type Daemon struct {
 	// testTargetDone, when set before Start, is invoked synchronously from
 	// every campaign's OnTargetDone with the campaign ID and the number of
 	// rows completed so far — the deterministic interrupt point the
-	// lifecycle tests hang their SIGTERM off. testCampaignFinished fires
-	// after a campaign's outcome (and artifacts) land in the spool, so tests
-	// wait on completion without polling a clock.
+	// lifecycle tests hang their SIGTERM off. testBeforePublish fires in
+	// finish between persisting a campaign's artifacts and publishing its
+	// final status, the window the publish-order tests probe, and
+	// testCancelWaits fires (under d.mu) when a Cancel starts waiting that
+	// window out. testCampaignFinished fires after a campaign's outcome (and
+	// artifacts) land in the spool, so tests wait on completion without
+	// polling a clock.
 	testTargetDone       func(id string, done int)
+	testBeforePublish    func(id, status string)
+	testCancelWaits      func(id string)
 	testCampaignFinished func(id, status string)
 }
 
@@ -617,15 +629,18 @@ func (d *Daemon) resolve(e *queueEntry) (*cli.Scenario, *netsim.Network, []ipv4.
 }
 
 // finish lands a campaign's outcome: classify it, journal the merged rows,
-// write the artifacts a completed campaign owes, account the tenant's
-// spend, and enroll the next re-scan generation when the spec asks for one.
+// write the artifacts a completed campaign owes, publish the final status,
+// account the tenant's spend, and enroll the next re-scan generation when
+// the spec asks for one. The status is published only once every artifact
+// and state.json are in the spool, so a client that sees done can fetch
+// them.
 func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targets []ipv4.Addr, rep *collect.Report, runErr error) {
 	d.mu.Lock()
-	status := stateDone
+	status, errText, rows := stateDone, cs.errText, cs.rows
 	switch {
 	case runErr != nil:
 		status = stateFailed
-		cs.errText = runErr.Error()
+		errText = runErr.Error()
 	case cs.ctx != nil && cs.ctx.Err() != nil:
 		if cs.userCancel {
 			status = stateCancelled
@@ -633,13 +648,14 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targ
 			status = stateInterrupted
 		}
 	}
-	cs.status = status
 	var merged []TargetRow
 	if rep != nil {
 		merged = mergeRows(rep.Targets, e.rows)
-		cs.rows = journalRows(merged)
+		rows = journalRows(merged)
 	}
+	cs.finishing = true
 	st := d.stateOf(cs)
+	st.Status, st.Error, st.Rows = status, errText, rows
 	d.mu.Unlock()
 
 	if rep != nil {
@@ -675,6 +691,16 @@ func (d *Daemon) finish(cs *campaignState, e *queueEntry, sc *cli.Scenario, targ
 	if err := d.sp.writeJSON(cs.id+".state.json", st); err != nil {
 		d.lg.Error("spool write failed", "campaign", cs.id, "err", err.Error())
 	}
+
+	if d.testBeforePublish != nil {
+		d.testBeforePublish(cs.id, status)
+	}
+	d.mu.Lock()
+	cs.status, cs.errText, cs.rows = status, errText, rows
+	cs.finishing = false
+	cs.wd, cs.tel, cs.ctx, cs.cancel = nil, nil, nil, nil
+	d.cond.Broadcast()
+	d.mu.Unlock()
 
 	cs.tenant.countOutcome(status)
 	switch status {
@@ -763,6 +789,14 @@ func (d *Daemon) Cancel(id string) (string, error) {
 	if cs == nil {
 		d.mu.Unlock()
 		return "", ErrUnknownCampaign
+	}
+	// A run that is over but still writing its artifacts can no longer be
+	// cancelled: wait for its final status and answer with that.
+	for cs.finishing {
+		if d.testCancelWaits != nil {
+			d.testCancelWaits(id)
+		}
+		d.cond.Wait()
 	}
 	switch cs.status {
 	case stateQueued:

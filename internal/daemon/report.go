@@ -31,11 +31,12 @@ import (
 // fresh. Only completed targets are journaled — skipped or failed rows are
 // retried by a resume, so persisting them would journal a non-outcome.
 func mergeRows(results []collect.TargetResult, journaled []TargetRow) []TargetRow {
+	byDst := indexRows(journaled)
 	rows := make([]TargetRow, 0, len(results))
 	for i := range results {
 		r := &results[i]
 		if r.Status == collect.StatusResumed {
-			if j := findRow(journaled, r.Dst.String()); j != nil {
+			if j := byDst[r.Dst.String()]; j != nil {
 				rows = append(rows, *j)
 				continue
 			}
@@ -70,14 +71,16 @@ func journalRows(rows []TargetRow) []TargetRow {
 	return done
 }
 
-// findRow returns the journaled row for dst, or nil.
-func findRow(rows []TargetRow, dst string) *TargetRow {
+// indexRows maps each destination to its first row, so a lookup per target
+// stays constant-time however many rows were journaled.
+func indexRows(rows []TargetRow) map[string]*TargetRow {
+	byDst := make(map[string]*TargetRow, len(rows))
 	for i := range rows {
-		if rows[i].Dst == dst {
-			return &rows[i]
+		if _, dup := byDst[rows[i].Dst]; !dup {
+			byDst[rows[i].Dst] = &rows[i]
 		}
 	}
-	return nil
+	return byDst
 }
 
 // renderReport renders the resume-invariant final report: the campaign
@@ -100,9 +103,10 @@ func renderReport(id, tenant string, targets []ipv4.Addr, rows []TargetRow, subn
 	}
 	fmt.Fprintf(&b, "campaign %s tenant %s: %d targets (done %d, skipped %d, failed %d, other %d)\n",
 		id, tenant, len(targets), counts.done, counts.skipped, counts.failed, counts.other)
+	byDst := indexRows(rows)
 	for i := range targets {
 		dst := targets[i].String()
-		r := findRow(rows, dst)
+		r := byDst[dst]
 		if r == nil {
 			fmt.Fprintf(&b, "  %-15s %-8s\n", dst, "unknown")
 			continue
@@ -117,9 +121,21 @@ func renderReport(id, tenant string, targets []ipv4.Addr, rows []TargetRow, subn
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "\nsubnets (%d):\n", len(subnets))
+	// Each distinct subnet is listed once. A campaign can grow the same
+	// subnet from two hop contexts, while a resumed run serves the second
+	// from its checkpoint, so listing the copies would make the inventory
+	// depend on where the run was interrupted.
+	seen := make(map[string]bool, len(subnets))
+	var inventory []string
 	for _, s := range subnets {
-		fmt.Fprintf(&b, "  %v\n", s)
+		if line := s.String(); !seen[line] {
+			seen[line] = true
+			inventory = append(inventory, line)
+		}
+	}
+	fmt.Fprintf(&b, "\nsubnets (%d):\n", len(inventory))
+	for _, line := range inventory {
+		fmt.Fprintf(&b, "  %s\n", line)
 	}
 	return []byte(b.String())
 }

@@ -511,8 +511,11 @@ func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin 
 	if iface := origin.IfaceWithAddr(dst); iface != nil {
 		return n.directReply(x, origin, iface, nil, pkt, raw)
 	}
+	// The walk never rewrites the destination, so the subnet it routes
+	// toward is resolved once for every hop.
+	s := n.rt.targetSubnet(dst)
 
-	cur, in, _, verdict := n.forwardStep(origin, pkt, nil)
+	cur, in, _, verdict := n.forwardStep(origin, pkt, s, nil)
 	if verdict != stepForwarded && verdict != stepDelivered {
 		// The vantage itself cannot reach the destination; hosts do not
 		// generate ICMP errors for their own traffic.
@@ -532,7 +535,7 @@ func (n *Network) walk(x *exchangeScratch, pkt *wire.Packet, raw []byte, origin 
 		if ttl <= 0 {
 			return n.ttlExceeded(x, cur, in, pkt, raw)
 		}
-		next, nextIn, out, verdict := n.forwardStep(cur, pkt, in)
+		next, nextIn, out, verdict := n.forwardStep(cur, pkt, s, in)
 		if (verdict == stepForwarded || verdict == stepDelivered) &&
 			cur.RRCompliant && out != nil && len(pkt.IP.Options) > 0 {
 			// RFC 791 record route: a compliant router stamps the address
@@ -571,13 +574,12 @@ const (
 	stepNoRoute
 )
 
-// forwardStep decides cur's next hop for pkt. It returns the next router,
+// forwardStep decides cur's next hop for pkt, whose destination routes
+// toward subnet s (nil when nothing covers it). It returns the next router,
 // the interface the packet enters it through, and the outgoing interface on
 // cur (for record-route stamping). Reads only immutable routing state, the
 // atomic clock, and the lock-free next-hop memo.
-func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, in *Iface) (*Router, *Iface, *Iface, stepVerdict) {
-	dst := pkt.IP.Dst
-	s := n.rt.targetSubnet(dst)
+func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, s *Subnet, in *Iface) (*Router, *Iface, *Iface, stepVerdict) {
 	if s == nil {
 		return nil, nil, nil, stepNoRoute
 	}
@@ -586,7 +588,7 @@ func (n *Network) forwardStep(cur *Router, pkt *wire.Packet, in *Iface) (*Router
 		if s.Unresponsive {
 			return nil, nil, nil, stepFirewalled
 		}
-		dstIface := n.Topo.IfaceByAddr(dst)
+		dstIface := n.Topo.IfaceByAddr(pkt.IP.Dst)
 		if dstIface == nil || dstIface.Subnet != s {
 			return nil, nil, nil, stepUnassigned
 		}

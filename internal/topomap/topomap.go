@@ -8,10 +8,23 @@
 // Sessions from multiple vantage points or campaigns can be merged into one
 // map; overlapping observations of the same subnet are reconciled by keeping
 // the larger prefix's membership union.
+//
+// Invariant: the map's entries are pairwise disjoint. CIDR prefixes overlap
+// only when one contains the other, and every merge absorbs all entries an
+// observation overlaps into one. An observation therefore overlaps at most
+// one entry containing it, or else only entries inside its own prefix, and
+// with entries kept in base-address order both are found by one binary
+// search: the containing entry is the last one starting at or below the
+// observation's base, the contained ones are the run starting inside its
+// range. Merging an observation costs O(log n) for the lookup, plus a
+// linear merge of the entry's sorted member list, plus one slice shift when
+// the entry is new or absorbs others; SubnetOf is a map hit or the same
+// binary search.
 package topomap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,10 +35,11 @@ import (
 // Map is an accumulating subnet-level topology map.
 // The zero value is not usable; call New.
 type Map struct {
-	// subnets by canonical prefix.
-	subnets map[ipv4.Prefix]*Entry
-	// addrToPrefix resolves a member address to its subnet.
-	addrToPrefix map[ipv4.Addr]ipv4.Prefix
+	// entries are the map's subnets, pairwise disjoint and ordered by base
+	// address (so the bases are distinct).
+	entries []*Entry
+	// addrEntry resolves a member address to the entry that last merged it.
+	addrEntry map[ipv4.Addr]*Entry
 	// hops records every trace adjacency observed: an (earlier hop, later
 	// hop) pair of responding addresses on some path.
 	hops map[[2]ipv4.Addr]int
@@ -100,10 +114,9 @@ func (e *Entry) addNote(note string) {
 // New returns an empty map.
 func New() *Map {
 	return &Map{
-		subnets:      make(map[ipv4.Prefix]*Entry),
-		addrToPrefix: make(map[ipv4.Addr]ipv4.Prefix),
-		hops:         make(map[[2]ipv4.Addr]int),
-		anon:         make(map[[2]ipv4.Addr]int),
+		addrEntry: make(map[ipv4.Addr]*Entry),
+		hops:      make(map[[2]ipv4.Addr]int),
+		anon:      make(map[[2]ipv4.Addr]int),
 	}
 }
 
@@ -151,45 +164,61 @@ func (m *Map) AddSession(res *core.Result) {
 	}
 }
 
+// containing returns the entry whose prefix contains p (p itself
+// included), or nil, and the index of the first entry starting at or above
+// p's base. Entries are disjoint, so the only candidate is the last entry
+// starting at or below p's base.
+func (m *Map) containing(p ipv4.Prefix) (*Entry, int) {
+	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].Prefix.Base() >= p.Base() })
+	k := i - 1
+	if i < len(m.entries) && m.entries[i].Prefix.Base() == p.Base() {
+		k = i
+	}
+	if k >= 0 {
+		if e := m.entries[k]; e.Prefix.Bits() <= p.Bits() && e.Prefix.Contains(p.Base()) {
+			return e, i
+		}
+	}
+	return nil, i
+}
+
 func (m *Map) addSubnet(s *core.Subnet) {
 	// Reconcile overlapping prefixes: the same physical subnet may have been
 	// observed at different sizes from different campaigns; one entry keyed
-	// by the largest (shortest) prefix holds the union. A large observation
-	// can cover several previously separate entries, so every overlapping
-	// entry is absorbed — merging just the first one found would leave
-	// duplicate rows for the same address space (and map iteration order
-	// would make the survivor random).
-	var overlapping []*Entry
-	for _, cand := range m.subnets {
-		if cand.Prefix.Overlaps(s.Prefix) {
-			overlapping = append(overlapping, cand)
-		}
+	// by the largest (shortest) prefix holds the union. By the disjointness
+	// invariant the observation overlaps either one entry containing it, or
+	// a run of entries inside it.
+	e, i := m.containing(s.Prefix)
+	if e != nil {
+		e.addConflict(e.Prefix, s.Prefix)
+		m.mergeObservation(e, s, nil)
+		return
 	}
-	sort.Slice(overlapping, func(i, j int) bool {
-		if overlapping[i].Prefix.Base() != overlapping[j].Prefix.Base() {
-			return overlapping[i].Prefix.Base() < overlapping[j].Prefix.Base()
-		}
-		return overlapping[i].Prefix.Bits() < overlapping[j].Prefix.Bits()
-	})
-
-	if len(overlapping) == 0 {
+	last := s.Prefix.Last()
+	j := i
+	for j < len(m.entries) && m.entries[j].Prefix.Base() <= last {
+		j++
+	}
+	if i == j {
 		e := &Entry{Prefix: s.Prefix, Confidence: 1}
-		m.subnets[e.Prefix] = e
-		m.mergeObservation(e, s)
+		m.entries = slices.Insert(m.entries, i, e)
+		m.mergeObservation(e, s, nil)
 		return
 	}
 
-	e := overlapping[0]
-	for _, o := range overlapping[1:] {
+	// A large observation can cover several previously separate entries:
+	// every one is absorbed into the lowest, so no address space is listed
+	// twice.
+	e = m.entries[i]
+	absorbed := m.entries[i+1 : j]
+	for _, o := range absorbed {
 		// Absorb the later entry: its members, observation count, and any
 		// conflict notes it already carried move onto the survivor, and the
 		// size disagreement between the two is itself recorded.
-		delete(m.subnets, o.Prefix)
 		e.addConflict(e.Prefix, o.Prefix)
 		for _, c := range o.Conflicts {
 			e.addNote(c)
 		}
-		e.Addrs = append(e.Addrs, o.Addrs...)
 		e.Observations += o.Observations
 		e.OnPath = e.OnPath || o.OnPath
 		e.Degraded = e.Degraded || o.Degraded
@@ -197,39 +226,31 @@ func (m *Map) addSubnet(s *core.Subnet) {
 			e.Confidence = o.Confidence
 		}
 	}
-	if s.Prefix != e.Prefix {
-		e.addConflict(e.Prefix, s.Prefix)
-	}
-	if s.Prefix.Bits() < e.Prefix.Bits() {
-		// The new observation is the largest: re-key the survivor.
-		delete(m.subnets, e.Prefix)
-		e.Prefix = s.Prefix
-	}
-	m.subnets[e.Prefix] = e
-	m.mergeObservation(e, s)
+	e.addConflict(e.Prefix, s.Prefix)
+	// The new observation is the largest: re-key the survivor. Its base
+	// moves down to s's, which no other entry lies between, so its position
+	// in the index holds.
+	e.Prefix = s.Prefix
+	m.mergeObservation(e, s, absorbed)
+	m.entries = slices.Delete(m.entries, i+1, j)
 }
 
-// mergeObservation unions one observation's members into e, re-points the
-// address index at e's (possibly re-keyed) prefix, and bumps its accounting.
-func (m *Map) mergeObservation(e *Entry, s *core.Subnet) {
-	have := map[ipv4.Addr]bool{}
-	deduped := e.Addrs[:0]
-	for _, a := range e.Addrs {
-		if !have[a] {
-			deduped = append(deduped, a)
-			have[a] = true
-		}
+// mergeObservation unions one observation's members, and those of the
+// entries e absorbed, into e's sorted member list, points the address index
+// at e for every member, and bumps e's accounting.
+func (m *Map) mergeObservation(e *Entry, s *core.Subnet, absorbed []*Entry) {
+	addrs := s.Addrs
+	if !slices.IsSorted(addrs) {
+		addrs = slices.Clone(addrs)
+		slices.Sort(addrs)
 	}
-	e.Addrs = deduped
-	for _, a := range s.Addrs {
-		if !have[a] {
-			e.Addrs = append(e.Addrs, a)
-			have[a] = true
-		}
+	merged := unionSorted(e.Addrs, addrs)
+	for _, o := range absorbed {
+		merged = unionSorted(merged, o.Addrs)
 	}
-	sort.Slice(e.Addrs, func(i, j int) bool { return e.Addrs[i] < e.Addrs[j] })
+	e.Addrs = merged
 	for _, a := range e.Addrs {
-		m.addrToPrefix[a] = e.Prefix
+		m.addrEntry[a] = e
 	}
 	e.Observations++
 	e.OnPath = e.OnPath || s.OnPath
@@ -241,33 +262,56 @@ func (m *Map) mergeObservation(e *Entry, s *core.Subnet) {
 	}
 }
 
+// unionSorted returns the ascending, duplicate-free union of two ascending
+// lists: a itself when b adds nothing (a re-observation, the common case),
+// else a fresh slice, so an entry never shares its list with an observation.
+func unionSorted(a, b []ipv4.Addr) []ipv4.Addr {
+	if containsSorted(a, b) {
+		return a
+	}
+	out := make([]ipv4.Addr, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var next ipv4.Addr
+		if len(b) == 0 || (len(a) > 0 && a[0] <= b[0]) {
+			next, a = a[0], a[1:]
+		} else {
+			next, b = b[0], b[1:]
+		}
+		if len(out) == 0 || out[len(out)-1] != next {
+			out = append(out, next)
+		}
+	}
+	return out
+}
+
+// containsSorted reports whether every element of the ascending list b is
+// in the ascending list a.
+func containsSorted(a, b []ipv4.Addr) bool {
+	i := 0
+	for _, x := range b {
+		for i < len(a) && a[i] < x {
+			i++
+		}
+		if i == len(a) || a[i] != x {
+			return false
+		}
+	}
+	return true
+}
+
 // Subnets returns the map's entries ordered by prefix base address.
 func (m *Map) Subnets() []*Entry {
-	out := make([]*Entry, 0, len(m.subnets))
-	for _, e := range m.subnets {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix.Base() != out[j].Prefix.Base() {
-			return out[i].Prefix.Base() < out[j].Prefix.Base()
-		}
-		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
-	})
-	return out
+	return append(make([]*Entry, 0, len(m.entries)), m.entries...)
 }
 
 // SubnetOf returns the map's subnet containing addr (as an observed member
 // or by prefix), or nil.
 func (m *Map) SubnetOf(addr ipv4.Addr) *Entry {
-	if p, ok := m.addrToPrefix[addr]; ok {
-		return m.subnets[p]
+	if e, ok := m.addrEntry[addr]; ok {
+		return e
 	}
-	for p, e := range m.subnets {
-		if p.Contains(addr) {
-			return e
-		}
-	}
-	return nil
+	e, _ := m.containing(ipv4.NewPrefix(addr, 32))
+	return e
 }
 
 // SameLAN reports whether two addresses were observed on the same subnet —
@@ -278,7 +322,7 @@ func (m *Map) SameLAN(a, b ipv4.Addr) bool {
 }
 
 // AddrCount returns the number of distinct member addresses in the map.
-func (m *Map) AddrCount() int { return len(m.addrToPrefix) }
+func (m *Map) AddrCount() int { return len(m.addrEntry) }
 
 // LinkDisjoint reports whether two paths (given as their responding hop
 // addresses) share no subnet: the overlay-network question of Figure 2.
@@ -355,9 +399,8 @@ func (m *Map) AnonymousRouters() []AnonymousRouter {
 // String renders the map, one subnet per line.
 func (m *Map) String() string {
 	var b strings.Builder
-	entries := m.Subnets()
-	fmt.Fprintf(&b, "subnet map: %d subnets, %d addresses\n", len(entries), m.AddrCount())
-	for _, e := range entries {
+	fmt.Fprintf(&b, "subnet map: %d subnets, %d addresses\n", len(m.entries), m.AddrCount())
+	for _, e := range m.entries {
 		kind := "lan"
 		if e.Prefix.Bits() >= 30 {
 			kind = "p2p"
